@@ -396,9 +396,14 @@ class AdvertisementStore:
         self._ads: dict[str, StoredAdvertisement] = {}
         self.ignored = 0
         self.leases_expired = 0
-        # Sorted-key view, rebuilt lazily after any key-set change.  A
-        # BDN calls all() once per discovery request; without this the
-        # sort is O(n log n) per request, which dominates past ~10k ads.
+        #: Bumped by every write (accept, renewal included; remove;
+        #: clear; an eviction that evicted something).  It lives here,
+        #: not on a facade, because per-shard sweeps write to the store
+        #: directly; the BDN's injection-target cache keys on it.
+        self.version = 0
+        # Sorted-key view, rebuilt lazily after any key-set change, so
+        # the ordered reads (all(), broker_ids(), anti-entropy digests)
+        # do not re-sort an unchanged table.
         self._sorted_ids: list[str] | None = None
 
     def __len__(self) -> int:
@@ -424,6 +429,7 @@ class AdvertisementStore:
         self._ads[ad.broker_id] = StoredAdvertisement(
             advertisement=ad, received_at=now, expires_at=expires
         )
+        self.version += 1
         return True
 
     def accept_if_newer(self, ad: BrokerAdvertisement, now: float) -> bool:
@@ -445,12 +451,14 @@ class AdvertisementStore:
         """Forget every registration (a cold restart's empty table)."""
         self._ads.clear()
         self._sorted_ids = None
+        self.version += 1
 
     def remove(self, broker_id: str) -> bool:
         """Drop a broker's registration (e.g. after repeated ping failures)."""
         if self._ads.pop(broker_id, None) is None:
             return False
         self._sorted_ids = None
+        self.version += 1
         return True
 
     def get(self, broker_id: str) -> StoredAdvertisement | None:
@@ -473,6 +481,14 @@ class AdvertisementStore:
             return [ads[k] for k in ids]
         return [ads[k] for k in ids if not ads[k].is_expired(now)]
 
+    def live(self, now: float) -> list[StoredAdvertisement]:
+        """Advertisements whose lease holds at ``now``, in no set order.
+
+        The unsorted counterpart of ``all(now)`` for readers that only
+        need an extreme (the BDN's closest/farthest injection choice).
+        """
+        return [s for s in self._ads.values() if now < s.expires_at]
+
     def broker_ids(self, now: float | None = None) -> list[str]:
         """Registered broker ids, sorted (lease-filtered when ``now`` given)."""
         return [s.broker_id for s in self.all(now)]
@@ -484,5 +500,6 @@ class AdvertisementStore:
             del self._ads[broker_id]
         if expired:
             self._sorted_ids = None
+            self.version += 1
         self.leases_expired += len(expired)
         return expired

@@ -25,6 +25,8 @@ advertisements, acknowledge discovery requests "in a timely manner"
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.codec import LazyMessage, lazy_decode
@@ -172,6 +174,9 @@ class BDN(Node):
         # :meth:`_injection_targets` must keep this at zero; the chaos
         # harness asserts it.
         self.stale_targets = 0
+        # The last closest_farthest/single choice as
+        # ``(stamp, valid_until, targets)``; see _injection_targets.
+        self._targets_cache: tuple | None = None
 
     @property
     def udp_endpoint(self) -> Endpoint:
@@ -556,32 +561,47 @@ class BDN(Node):
     def _injection_targets(self) -> list[StoredAdvertisement]:
         """Pick the brokers this BDN injects a request at.
 
-        ``all``: every registered broker (O(N)).
+        ``all``: every registered broker (O(N)), ordered by broker id.
         ``closest_farthest``: the two extremes of the measured distance
         table (section 4's scheme to make the request "propagate faster
-        through the broker network"); brokers without RTT data yet fall
-        back to registration order.
-        ``single``: just the closest (or first-registered) broker.
+        through the broker network"); brokers without RTT data count as
+        infinitely far, and equal distances break ties by broker id.
+        ``single``: just the closest broker under the same order.
 
         Expired leases are filtered out here, so a stale broker is never
         disseminated to even between eviction sweeps.
+
+        The extremes are cached.  The cache is keyed on the registry's
+        and the pinger's write counters and on the strategy, and lapses
+        at the earliest lease deadline among the live ads, so a hit
+        returns what a fresh pass would.  A miss is one unsorted pass
+        over the live ads.
         """
-        ads = self.store.all(self.runtime.now)
-        if not ads or self.config.injection == "all":
-            return ads
-        by_distance = sorted(
-            ads,
-            key=lambda s: (
-                self.pinger.average_rtt(s.broker_id)
-                if self.pinger.average_rtt(s.broker_id) is not None
-                else float("inf"),
-                s.broker_id,
-            ),
-        )
-        if self.config.injection == "single" or len(by_distance) == 1:
-            return [by_distance[0]]
-        # closest_farthest
-        return [by_distance[0], by_distance[-1]]
+        now = self.runtime.now
+        injection = self.config.injection
+        if injection == "all":
+            return self.store.all(now)
+        stamp = (self.store.version, self.pinger.version, injection)
+        cached = self._targets_cache
+        if cached is not None and cached[0] == stamp and now < cached[1]:
+            return list(cached[2])
+        ads = self.store.live(now)
+        if not ads:
+            targets: tuple[StoredAdvertisement, ...] = ()
+            valid_until = math.inf
+        else:
+            rtt = self.pinger.averages().get
+            inf = math.inf
+            # broker_id is unique, so no comparison ever reaches the ad.
+            keyed = [(rtt(s.broker_id, inf), s.broker_id, s) for s in ads]
+            closest = min(keyed)[2]
+            if injection == "single" or len(keyed) == 1:
+                targets = (closest,)
+            else:
+                targets = (closest, max(keyed)[2])
+            valid_until = min([s.expires_at for s in ads])
+        self._targets_cache = (stamp, valid_until, targets)
+        return list(targets)
 
     # ------------------------------------------------------------------
     # Distance sweeps

@@ -19,7 +19,8 @@ timestamp-derived estimates.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
+from types import MappingProxyType
 
 from repro.core.config import Endpoint
 from repro.core.messages import PingRequest, PingResponse
@@ -74,11 +75,18 @@ class Pinger:
         # only ever needs to pop from the front.
         self._outstanding: dict[str, tuple[str, float, str | None]] = {}
         self._samples: dict[str, list[float]] = {}
+        # Per-key mean of the retained samples, refreshed whenever a
+        # sample is stored, so average_rtt is a dict lookup.
+        self._means: dict[str, float] = {}
         self._last_heard: dict[str, float] = {}
         self.on_rtt: RttCallback | None = None
         self.pings_sent = 0
         self.pongs_received = 0
         self.pings_expired = 0
+        #: Bumped whenever the RTT table changes (a sample stored, a key
+        #: forgotten, samples cleared): a reader caching a choice made
+        #: from :meth:`averages` compares it to detect staleness.
+        self.version = 0
 
     def _expire_outstanding(self) -> None:
         """Drop outstanding pings whose deadline has passed."""
@@ -143,6 +151,8 @@ class Pinger:
         samples.append(rtt)
         if len(samples) > self._max_samples:
             del samples[0]
+        self._means[key] = sum(samples) / len(samples)
+        self.version += 1
         self._last_heard[key] = self._node.runtime.now
         self.pongs_received += 1
         if self.on_rtt is not None:
@@ -150,10 +160,11 @@ class Pinger:
 
     def average_rtt(self, key: str) -> float | None:
         """Mean RTT over retained samples for ``key`` (None if no data)."""
-        samples = self._samples.get(key)
-        if not samples:
-            return None
-        return sum(samples) / len(samples)
+        return self._means.get(key)
+
+    def averages(self) -> Mapping[str, float]:
+        """Read-only live view of every measured key's mean RTT."""
+        return MappingProxyType(self._means)
 
     def sample_count(self, key: str) -> int:
         """Number of retained samples for ``key``."""
@@ -170,8 +181,12 @@ class Pinger:
     def forget(self, key: str) -> None:
         """Drop all state for ``key``."""
         self._samples.pop(key, None)
+        self._means.pop(key, None)
         self._last_heard.pop(key, None)
+        self.version += 1
 
     def clear_samples(self) -> None:
         """Drop every RTT sample but keep outstanding pings."""
         self._samples.clear()
+        self._means.clear()
+        self.version += 1

@@ -249,6 +249,15 @@ class ShardedRegistry:
         return self._shards[self.ring.shard_of(broker_id)]
 
     @property
+    def version(self) -> int:
+        """Write counter summed across shards (see ``AdvertisementStore.version``).
+
+        Every write bumps exactly one shard's counter, so the sum changes
+        on every write, including per-shard sweeps that bypass this facade.
+        """
+        return sum(s.version for s in self._shards)
+
+    @property
     def ignored(self) -> int:
         """Interest-filter rejections, summed across shards."""
         return sum(s.ignored for s in self._shards)
@@ -295,6 +304,10 @@ class ShardedRegistry:
             return self._shards[0].all(now)
         views = [s.all(now) for s in self._shards]
         return list(heapq.merge(*views, key=lambda s: s.broker_id))
+
+    def live(self, now: float) -> list[StoredAdvertisement]:
+        """Unexpired advertisements of every shard, unordered (no merge)."""
+        return [s for shard in self._shards for s in shard.live(now)]
 
     def broker_ids(self, now: float | None = None) -> list[str]:
         if len(self._shards) == 1:

@@ -253,12 +253,11 @@ class SloMonitor:
         p99 = None
         breached = False
         if window_hist and window_hist["count"]:
-            cumulative, running = [], 0
-            for n in window_hist["buckets"]:
-                running += n
-                cumulative.append(running)
+            # The buckets are cumulative ``le`` counts already (the
+            # Histogram.read() shape, kept by histogram_delta and by the
+            # per-process sum above).
             p99 = quantile_from_buckets(
-                window_hist["bounds"], cumulative, window_hist["count"], 0.99
+                window_hist["bounds"], window_hist["buckets"], window_hist["count"], 0.99
             )
             breached = p99 > config.p99_bound
         self.windows_evaluated += 1

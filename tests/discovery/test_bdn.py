@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.config import BDNConfig, ClientConfig
-from repro.core.messages import Ack, DiscoveryRequest, DiscoveryResponse
+from repro.core.config import BDNConfig, ClientConfig, Endpoint
+from repro.core.messages import (
+    Ack,
+    BrokerAdvertisement,
+    DiscoveryRequest,
+    DiscoveryResponse,
+    PingResponse,
+)
 from repro.discovery.advertisement import advertise_direct, advertise_on_topic
 from repro.discovery.bdn import BDN
-from repro.substrate.builder import Topology
+from repro.substrate.builder import BrokerNetwork, Topology
 from tests.discovery.conftest import World
 
 
@@ -157,6 +167,161 @@ class TestInjectionStrategies:
         world.sim.run_for(3.0)
         ids = {m.broker_id for m in box if isinstance(m, DiscoveryResponse)}
         assert ids == {"b0", "b1", "b2", "b3"}
+
+
+def reference_targets(bdn: BDN) -> list:
+    """The full-sort injection choice the cached one must reproduce."""
+    ads = bdn.store.all(bdn.runtime.now)
+    if not ads or bdn.config.injection == "all":
+        return ads
+    by_distance = sorted(
+        ads,
+        key=lambda s: (
+            bdn.pinger.average_rtt(s.broker_id)
+            if bdn.pinger.average_rtt(s.broker_id) is not None
+            else float("inf"),
+            s.broker_id,
+        ),
+    )
+    if bdn.config.injection == "single" or len(by_distance) == 1:
+        return [by_distance[0]]
+    return [by_distance[0], by_distance[-1]]
+
+
+_BROKERS = [f"k{i}" for i in range(5)]
+_broker = st.integers(0, len(_BROKERS) - 1)
+_ops = st.lists(
+    st.one_of(
+        # ttl 0 never lapses; a port change makes a renewal observable.
+        st.tuples(
+            st.just("advertise"), _broker,
+            st.sampled_from([0.0, 1.0, 3.0]), st.sampled_from([5046, 6046]),
+        ),
+        # Few distinct RTTs, so equal means (ties) are common.
+        st.tuples(st.just("pong"), _broker, st.sampled_from([0.01, 0.02, 0.04])),
+        st.tuples(st.just("advance"), st.sampled_from([0.25, 1.0, 2.5])),
+        st.tuples(st.just("remove"), _broker),
+        st.tuples(st.just("evict"), st.sampled_from([0.0, 2.0])),
+        st.tuples(st.just("forget"), _broker),
+        st.tuples(st.just("strategy"), st.sampled_from(["single", "closest_farthest"])),
+        st.just(("clear_samples",)),
+        st.just(("cold_restart",)),
+    ),
+    max_size=30,
+)
+
+
+class TestCachedInjectionTargets:
+    """The cached closest/farthest choice equals the full sort it replaced.
+
+    Each step applies one write (or lets time pass), then asks the BDN
+    for its targets twice -- the second call is a guaranteed cache hit --
+    and compares both with :func:`reference_targets`.  Each step also
+    checks the version contract the cache relies on: a step that changes
+    the stored table must change ``store.version``, and one that changes
+    the RTT table must change ``pinger.version``.
+    """
+
+    @staticmethod
+    def _bdn(shards: int, injection: str) -> tuple[BrokerNetwork, BDN]:
+        net = BrokerNetwork(seed=0)
+        for broker_id in _BROKERS:
+            net.network.register_host(f"{broker_id}.host", "s-brokers")
+        bdn = BDN(
+            "bdn0",
+            "bdn0.host",
+            net.network,
+            np.random.default_rng(1),
+            config=BDNConfig(injection=injection, shards=shards, ping_interval=2.0),
+            site="bdn-site",
+        )
+        bdn.start()
+        return net, bdn
+
+    @staticmethod
+    def _apply(net: BrokerNetwork, bdn: BDN, op: tuple) -> None:
+        kind = op[0]
+        now = bdn.runtime.now
+        if kind == "advertise":
+            _, i, ttl, port = op
+            ad = BrokerAdvertisement(
+                broker_id=_BROKERS[i],
+                hostname=f"{_BROKERS[i]}.host",
+                transports=(("udp", port),),
+                logical_address=f"/s/{_BROKERS[i]}",
+                region="north-america",
+                institution="s",
+                issued_at=now,
+                ttl=ttl,
+            )
+            bdn.store.accept(ad, now)
+        elif kind == "pong":
+            _, i, rtt = op
+            broker_id = _BROKERS[i]
+            uuid = bdn.pinger.ping(Endpoint(f"{broker_id}.host", 5046), key=broker_id)
+            pong = PingResponse(uuid=uuid, sent_at=bdn.clock.raw() - rtt, broker_id=broker_id)
+            bdn.pinger.on_response(pong, Endpoint(f"{broker_id}.host", 5046))
+        elif kind == "advance":
+            net.sim.run_for(op[1])  # leases lapse; per-shard sweeps fire
+        elif kind == "remove":
+            bdn.store.remove(_BROKERS[op[1]])
+        elif kind == "evict":
+            bdn.store.evict_expired(now + op[1])
+        elif kind == "forget":
+            bdn.pinger.forget(_BROKERS[op[1]])
+        elif kind == "strategy":
+            bdn.config = dataclasses.replace(bdn.config, injection=op[1])
+        elif kind == "clear_samples":
+            bdn.pinger.clear_samples()
+        else:  # cold restart
+            bdn.stop()
+            bdn.clear_registry()
+            bdn.start()
+
+    @given(
+        shards=st.sampled_from([1, 16]),
+        injection=st.sampled_from(["single", "closest_farthest"]),
+        ops=_ops,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_sort_oracle(self, shards, injection, ops):
+        net, bdn = self._bdn(shards, injection)
+        for op in ops:
+            table = bdn.store.all()
+            rtts = dict(bdn.pinger.averages())
+            store_version, pinger_version = bdn.store.version, bdn.pinger.version
+            self._apply(net, bdn, op)
+            if bdn.store.all() != table:
+                assert bdn.store.version != store_version, op
+            if dict(bdn.pinger.averages()) != rtts:
+                assert bdn.pinger.version != pinger_version, op
+            expected = reference_targets(bdn)
+            assert bdn._injection_targets() == expected, op
+            assert bdn._injection_targets() == expected, op
+
+    def test_lease_lapse_without_a_write_refreshes_the_choice(self):
+        net, bdn = self._bdn(shards=1, injection="closest_farthest")
+        for op in [
+            ("advertise", 0, 0.0, 5046),
+            ("advertise", 1, 1.0, 5046),  # unmeasured, so farthest
+            ("advertise", 2, 0.0, 5046),
+            ("pong", 0, 0.01),
+            ("pong", 2, 0.02),
+        ]:
+            self._apply(net, bdn, op)
+        assert [s.broker_id for s in bdn._injection_targets()] == ["k0", "k1"]
+        store_version = bdn.store.version
+        net.sim.run_for(1.0)  # k1's lease lapses before the first sweep
+        assert bdn.store.version == store_version and "k1" in bdn.store
+        assert [s.broker_id for s in bdn._injection_targets()] == ["k0", "k2"]
+
+    def test_strategy_switch_refreshes_the_choice(self):
+        net, bdn = self._bdn(shards=1, injection="single")
+        for op in [("advertise", 0, 0.0, 5046), ("advertise", 1, 0.0, 5046)]:
+            self._apply(net, bdn, op)
+        assert [s.broker_id for s in bdn._injection_targets()] == ["k0"]
+        self._apply(net, bdn, ("strategy", "closest_farthest"))
+        assert [s.broker_id for s in bdn._injection_targets()] == ["k0", "k1"]
 
 
 class TestPrivateBDN:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import Endpoint
 from repro.core.messages import PingResponse
@@ -163,3 +165,78 @@ class TestOutstandingExpiry:
         assert pinger.sample_count("bk") == 0
         assert pinger.pongs_received == 0
         assert pinger.pings_expired == 1
+
+
+def inject_pong(pinger: Pinger, key: str, rtt: float) -> None:
+    """Answer a fresh ping to ``key`` as if it measured ``rtt``.
+
+    The ping goes to an unbound port on the pinger's own host, so no real
+    pong can race the injected one.
+    """
+    target = Endpoint(pinger._node.host, 1)
+    uuid = pinger.ping(target, key=key)
+    pong = PingResponse(uuid=uuid, sent_at=pinger._node.clock.raw() - rtt, broker_id=key)
+    pinger.on_response(pong, target)
+
+
+class TestStoredMean:
+    """``average_rtt`` is stored on each sample and must stay bit-equal
+    to the mean of the retained window, recomputed from scratch."""
+
+    @given(
+        max_samples=st.integers(1, 6),
+        rtts=st.lists(
+            st.tuples(st.sampled_from(["a", "b"]), st.floats(1e-6, 2.0)),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mean_bit_equal_after_roll_off(self, max_samples, rtts):
+        net, broker, pinger = ping_world()
+        pinger._max_samples = max_samples
+        seen: dict[str, list[float]] = {"a": [], "b": []}
+        pinger.on_rtt = lambda key, rtt: seen[key].append(rtt)
+        for key, rtt in rtts:
+            inject_pong(pinger, key, rtt)
+            for k, history in seen.items():
+                window = history[-max_samples:]
+                expected = sum(window) / len(window) if window else None
+                assert pinger.average_rtt(k) == expected
+
+    def test_forget_and_clear_samples(self):
+        net, broker, pinger = ping_world()
+        seen: list[tuple[str, float]] = []
+        pinger.on_rtt = lambda key, rtt: seen.append((key, rtt))
+
+        def mean(key: str) -> float:
+            window = [rtt for k, rtt in seen if k == key]
+            return sum(window) / len(window)
+
+        for key, rtt in [("a", 0.1), ("a", 0.2), ("b", 0.3), ("a", 0.7)]:
+            inject_pong(pinger, key, rtt)
+        version = pinger.version
+        pinger.forget("a")
+        assert pinger.version > version
+        assert dict(pinger.averages()) == {"b": mean("b")}
+        seen[:] = [(k, rtt) for k, rtt in seen if k != "a"]
+        inject_pong(pinger, "a", 0.4)
+        inject_pong(pinger, "a", 0.15)
+        assert pinger.average_rtt("a") == mean("a")
+        version = pinger.version
+        pinger.clear_samples()
+        assert pinger.version > version
+        assert dict(pinger.averages()) == {}
+        seen.clear()
+        inject_pong(pinger, "b", 0.25)
+        inject_pong(pinger, "b", 0.5)
+        assert dict(pinger.averages()) == {"b": mean("b")}
+
+    def test_negative_rtt_changes_neither_mean_nor_version(self):
+        net, broker, pinger = ping_world()
+        inject_pong(pinger, "a", 0.1)
+        mean, version = pinger.average_rtt("a"), pinger.version
+        inject_pong(pinger, "a", -0.5)  # clock stepped mid-flight
+        assert pinger.average_rtt("a") == mean
+        assert pinger.version == version
+        assert pinger.sample_count("a") == 1

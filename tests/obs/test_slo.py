@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs.live import RollingClusterView
+from repro.obs.live import RollingClusterView, histogram_delta
+from repro.obs.registry import Histogram
 from repro.obs.slo import SloConfig, SloMonitor
 
 
@@ -202,6 +205,76 @@ class TestLatencyBudget:
         assert monitor.maybe_evaluate(view) == []
         assert monitor.breached_windows == 0
         assert monitor.budget_burned == 0.0
+
+
+def total_time(hist: Histogram) -> dict:
+    """A histogram's telemetry entry, as a worker streams it."""
+    return {"discovery.total_time": {"kind": "histogram", "value": hist.read()}}
+
+
+class TestWindowedP99:
+    """The windowed p99 reads the already-cumulative ``le`` buckets once;
+    it must equal ``Histogram.quantile`` over the window's observations."""
+
+    def test_one_slow_round_sets_the_p99(self):
+        monitor, view, clock = make_monitor()
+        hist = Histogram("discovery.total_time")
+        for value in [0.2] * 6 + [1.339]:
+            hist.observe(value)
+        fold(view, clock, metrics=total_time(hist))
+        clock.now = 5.0
+        monitor.maybe_evaluate(view)
+        assert hist.quantile(0.99) == 2.5
+        assert monitor.trend[0]["p99"] == 2.5
+
+    def test_reset_histogram_counts_the_new_incarnation_whole(self):
+        monitor, view, clock = make_monitor()
+        before = Histogram("discovery.total_time")
+        for value in [0.05] * 40:
+            before.observe(value)
+        fold(view, clock, metrics=total_time(before))
+        clock.now = 5.0
+        monitor.maybe_evaluate(view)
+        after = Histogram("discovery.total_time")  # the worker restarted
+        for value in [0.2] * 6 + [1.339]:
+            after.observe(value)
+        delta = histogram_delta(after.read(), before.read())
+        assert delta == after.read()
+        fold(view, clock, metrics=total_time(after))
+        clock.now = 10.0
+        monitor.maybe_evaluate(view)
+        assert monitor.trend[1]["p99"] == after.quantile(0.99) == 2.5
+
+    @given(
+        windows=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.floats(0.0, 12.0), min_size=1, max_size=40),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_windowed_p99_equals_histogram_quantile(self, windows):
+        monitor, view, clock = make_monitor()
+        hist = Histogram("discovery.total_time")
+        incarnation = 0
+        for index, (restart, observations) in enumerate(windows):
+            if restart:  # a restarted worker streams a fresh histogram
+                hist = Histogram("discovery.total_time")
+                incarnation += 1
+            window_only = Histogram("discovery.total_time")
+            for value in observations:
+                hist.observe(value)
+                window_only.observe(value)
+            fold(
+                view, clock, incarnation=incarnation, seq=index,
+                metrics=total_time(hist),
+            )
+            clock.now = 5.0 * (index + 1)
+            monitor.maybe_evaluate(view)
+            assert monitor.trend[index]["p99"] == window_only.quantile(0.99)
 
 
 class TestTrend:
