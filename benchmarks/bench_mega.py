@@ -13,17 +13,15 @@ one closure -- not a full :class:`DiscoveryClient`, so the measured cost
 is the BDN tier and the scheduler, not harness object churn.  A client:
 
 1. wakes at its arrival time (one ``schedule_at`` timer armed up
-   front -- the flash crowd is 100k outstanding timers, the hierarchical
-   wheel's home turf),
+   front -- the flash crowd is 100k outstanding timers),
 2. fires a ``DiscoveryRequest`` at the BDN and arms a response-timeout
    timer,
 3. on the first ``DiscoveryResponse``, records the *simulated* request
    latency and cancels the timeout.
 
-Step 3 is the scheduler's worst case under the old binary heap: ~one
-armed-then-cancelled far-future timer per client, the lease/retry
-pattern that lazy deletion piles up and compaction repeatedly copies.
-The wheel cancels in O(1) and sweeps amortised.
+Step 3 is the scheduler's worst case: ~one armed-then-cancelled
+far-future timer per client, the lease/retry pattern that lazy deletion
+piles up and heap compaction reclaims (``detail.scheduler_compactions``).
 
 Reported metrics:
 
@@ -40,7 +38,6 @@ Reported metrics:
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_mega.py --clients 100000
-    PYTHONPATH=src python benchmarks/bench_mega.py --compare   # wheel vs heap
 
 or through the harness (the ``bench_mega`` scenario)::
 
@@ -84,19 +81,16 @@ def run_mega_flash_crowd(
     window: float = 30.0,
     timeout: float = 30.0,
     seed: int = 2005,
-    scheduler: str | None = None,
 ) -> dict:
     """Join ``clients`` requesters inside ``window`` simulated seconds.
 
     Returns the harness scenario dict (events/sec, latency percentiles,
-    failure counts).  ``scheduler`` overrides the world's timer
-    implementation (``None`` = the product default, the wheel).
+    failure counts).
     """
     net = BrokerNetwork(
         seed=seed,
         latency=UniformLatencyModel(base=0.010, jitter_fraction=0.02),
         loss=NoLoss(),
-        scheduler=scheduler,
     )
     sim = net.sim
     names = [f"b{i}" for i in range(n_brokers)]
@@ -189,7 +183,6 @@ def run_mega_flash_crowd(
             "clients": clients,
             "shards": shards,
             "brokers": n_brokers,
-            "scheduler": scheduler or "wheel",
             "completed_discoveries": completed,
             "failed_discoveries": failures[0],
             "dedup_hits": bdn.dedup.hits,
@@ -207,64 +200,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--window", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=2005)
     parser.add_argument(
-        "--scheduler", choices=("wheel", "heap"), default=None,
-        help="force a scheduler (default: the product wheel)",
-    )
-    parser.add_argument(
-        "--compare", action="store_true",
-        help="run wheel AND compacting heap at the same size, print the ratio",
-    )
-    parser.add_argument(
         "--output", type=Path, default=None,
-        help="write the result record(s) as JSON to this path",
+        help="write the result record as JSON to this path",
     )
     args = parser.parse_args(argv)
 
-    def show(label: str, r: dict) -> None:
-        d = r["detail"]
-        print(
-            f"{label:>6}: {r['events_per_sec']:>12.0f} events/s"
-            f"  wall {r['wall_time_s']:.2f} s"
-            f"  p50 {r['latency_p50_s'] * 1e3:.1f} ms"
-            f"  p99 {r['latency_p99_s'] * 1e3:.1f} ms"
-            f"  completed {d['completed_discoveries']}"
-            f"  failed {d['failed_discoveries']}"
-            f"  rss {r['peak_rss_kb']} kB"
-        )
-
-    kwargs = dict(
+    result = run_mega_flash_crowd(
         clients=args.clients,
         shards=args.shards,
         n_brokers=args.brokers,
         window=args.window,
         seed=args.seed,
     )
-    if args.compare:
-        wheel = run_mega_flash_crowd(scheduler="wheel", **kwargs)
-        show("wheel", wheel)
-        heap = run_mega_flash_crowd(scheduler="heap", **kwargs)
-        show("heap", heap)
-        ratio = wheel["events_per_sec"] / heap["events_per_sec"]
-        same = (
-            wheel["latency_p50_s"] == heap["latency_p50_s"]
-            and wheel["latency_p99_s"] == heap["latency_p99_s"]
-        )
-        print(f"wheel/heap wall-clock speedup: {ratio:.2f}x")
-        print(f"virtual-time latencies identical: {same}")
-        if args.output is not None:
-            record = {"wheel": wheel, "heap": heap, "speedup": ratio, "identical_virtual_time": same}
-            args.output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-            print(f"wrote {args.output}")
-        if not same:
-            print("FAIL: schedulers disagree on virtual time", file=sys.stderr)
-            return 1
-        return 0 if wheel["detail"]["failed_discoveries"] == 0 else 1
-    result = run_mega_flash_crowd(scheduler=args.scheduler, **kwargs)
-    show(result["detail"]["scheduler"], result)
+    d = result["detail"]
+    print(
+        f"{result['events_per_sec']:.0f} events/s"
+        f"  wall {result['wall_time_s']:.2f} s"
+        f"  p50 {result['latency_p50_s'] * 1e3:.1f} ms"
+        f"  p99 {result['latency_p99_s'] * 1e3:.1f} ms"
+        f"  completed {d['completed_discoveries']}"
+        f"  failed {d['failed_discoveries']}"
+        f"  rss {result['peak_rss_kb']} kB"
+    )
     if args.output is not None:
         args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.output}")
-    return 0 if result["detail"]["failed_discoveries"] == 0 else 1
+    return 0 if d["failed_discoveries"] == 0 else 1
 
 
 if __name__ == "__main__":

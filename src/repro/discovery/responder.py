@@ -26,7 +26,7 @@ broker):
 
 from __future__ import annotations
 
-from repro.core.codec import decode_message, encode_message, lazy_decode
+from repro.core.codec import encode_message, lazy_decode
 from repro.core.config import Endpoint
 from repro.core.dedup import DedupCache
 from repro.core.errors import CodecError, UnknownHostError
@@ -237,22 +237,13 @@ class DiscoveryResponder:
         responder must not re-publish it (that would double-propagate).
 
         This is the hottest decode site in a discovery run -- a flooded
-        request reaches every broker's responder -- so when no flight
-        recorder is attached it runs the lazy-decode dedup protocol:
-        pull only the ``(uuid, attempt)`` key from the wire buffer,
-        consult the LRU, and materialise the full request only on first
-        sighting.  Observed worlds take the eager path so recv/dup spans
-        carry exactly the same causal order as before.
+        request reaches every broker's responder -- so it runs the
+        lazy-decode dedup protocol: pull only the ``(uuid, attempt)``
+        key from the wire buffer, consult the LRU, and materialise the
+        full request only on first sighting.  A duplicate is
+        materialised only when a flight recorder wants its
+        ``recv``/``dup_suppressed`` spans.
         """
-        if self.broker._recorder is not None:
-            try:
-                message = decode_message(event.payload)
-            except CodecError:
-                self.broker.trace("discovery_bad_payload", topic=event.topic)
-                return
-            if isinstance(message, DiscoveryRequest):
-                self._process(message, propagate=False)
-            return
         try:
             lazy = lazy_decode(event.payload)
         except CodecError:
@@ -268,6 +259,15 @@ class DiscoveryResponder:
             self.broker.trace("discovery_bad_payload", topic=event.topic)
             return
         if self.dedup.seen(key):
+            if self.broker._recorder is not None:
+                try:
+                    request = lazy.message
+                except CodecError:
+                    self.broker.trace("discovery_bad_payload", topic=event.topic)
+                    return
+                if request.trace_flag:
+                    self._span("recv", request, via="topic")
+                    self._span("dup_suppressed", request)
             return
         try:
             request = lazy.message
@@ -300,20 +300,12 @@ class DiscoveryResponder:
             return
         traced = request.trace_flag and self.broker._recorder is not None
         if traced:
-            self.broker.span(
-                "recv",
-                request.uuid,
-                hop=request.trace_hop,
-                kind="DiscoveryRequest",
-                via="udp" if propagate else "topic",
-            )
+            self._span("recv", request, via="udp" if propagate else "topic")
         # _deduped: the lazy fast path already consulted the LRU before
         # materialising the request, so don't charge a second lookup.
         if not _deduped and self.dedup.seen(self.request_key(request)):
             if traced:
-                self.broker.span(
-                    "dup_suppressed", request.uuid, hop=request.trace_hop, kind="DiscoveryRequest"
-                )
+                self._span("dup_suppressed", request)
             return
         self.requests_processed += 1
         if propagate:
@@ -325,6 +317,11 @@ class DiscoveryResponder:
             return
         delay = float(self.broker.rng.uniform(*_PROCESS_DELAY_RANGE))
         self._schedule_response(delay, request)
+
+    def _span(self, event: str, request: DiscoveryRequest, **detail) -> None:
+        self.broker.span(
+            event, request.uuid, hop=request.trace_hop, kind="DiscoveryRequest", **detail
+        )
 
     def _schedule_response(self, delay: float, request: DiscoveryRequest) -> None:
         def fire() -> None:

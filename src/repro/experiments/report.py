@@ -197,8 +197,8 @@ def profile_table(
     """Sampled CPU attribution (``summary["profiles"]``), one process per block.
 
     Each value is a :meth:`repro.obs.profiling.SamplingProfiler.report`
-    minus its collapsed stacks: total samples, elapsed seconds, and the
-    per-module attribution rows the sampler assembled.
+    minus its collapsed stacks: total and parked samples, elapsed
+    seconds, and the attribution rows (on-CPU modules, then parked).
     """
     lines = [title]
     for label in sorted(profiles):
@@ -208,7 +208,8 @@ def profile_table(
             f"{elapsed:.1f}s" if isinstance(elapsed, (int, float)) else "?"
         )
         lines.append(
-            f"{label}: {profile.get('samples', 0)} samples @ "
+            f"{label}: {profile.get('samples', 0)} samples"
+            f" ({profile.get('parked', 0)} parked) @ "
             f"{profile.get('rate_hz', 0.0):g} Hz over {elapsed_text}"
         )
         attribution = profile.get("attribution", {})

@@ -188,9 +188,6 @@ class DiscoveryScenario:
     keep_trace:
         Retain full :class:`~repro.simnet.trace.Tracer` records; the
         determinism tests compare them byte for byte.
-    optimized:
-        Passed through to :class:`BrokerNetwork`; ``False`` runs the
-        world with every hot-path cache disabled (reference mode).
     observe:
         Attach a shared :class:`~repro.obs.Observability` to every node
         (brokers, BDN, client), so each discovery run leaves a
@@ -201,7 +198,6 @@ class DiscoveryScenario:
         self,
         spec: ScenarioSpec,
         keep_trace: bool = False,
-        optimized: bool = True,
         observe: bool = False,
     ) -> None:
         self.spec = spec
@@ -210,7 +206,6 @@ class DiscoveryScenario:
             latency=paper_latency_model(jitter_sigma=spec.jitter_sigma),
             loss=PerHopLoss(spec.per_hop_loss) if spec.per_hop_loss > 0 else NoLoss(),
             keep_trace=keep_trace,
-            optimized=optimized,
             observe=observe,
         )
         self.obs = self.net.obs

@@ -11,18 +11,26 @@ current frame via ``sys._current_frames()``, and walks it into a
   (``root;child;leaf count`` per line), the input format every
   flamegraph renderer understands;
 * :meth:`attribution` -- a per-subsystem CPU attribution table
-  (samples bucketed by the innermost ``repro.*`` module on the stack),
-  so "where does the load generator spend its time" is a table in the
-  exit report, not a guess.
+  (on-CPU samples bucketed by the innermost ``repro.*`` module on the
+  stack), so "where does the load generator spend its CPU" is a table
+  in the exit report, not a guess.
 
 Cost model: **zero when off** -- nothing is constructed, no signal
 handlers are installed, no thread exists.  When on, the sampler runs in
 its own thread and never touches the event loop; a sample is one
 ``sys._current_frames()`` call plus a bounded frame walk, and the GIL
-makes the walk safe without stopping the world.  A wall-clock sampler
-slightly over-counts blocking waits relative to a CPU-timer one; for an
-asyncio worker that is the honest picture (time parked on the selector
-shows up as ``selectors:select``).
+makes the walk safe without stopping the world.
+
+The sampler runs on the wall clock, so it also catches the thread
+while it is parked -- an idle asyncio worker spends nearly all its
+time waiting in ``selectors:select``.  A sample whose leaf frame is one
+of :data:`PARKED_FRAMES` counts as *parked*: it stays in the collapsed
+stacks (a flamegraph of wall time), but :meth:`attribution` ranks only
+the on-CPU samples by module and books the parked ones to a single
+trailing ``<parked>`` row, and :meth:`report` gives the parked count.
+Waits inside C calls made straight from other frames (``time.sleep``,
+a blocking ``socket.recv``) leave no Python leaf frame of their own and
+still count as on-CPU.
 """
 
 from __future__ import annotations
@@ -31,10 +39,21 @@ import sys
 import threading
 import time
 
-__all__ = ["SamplingProfiler", "DEFAULT_RATE_HZ", "MAX_STACK_DEPTH"]
+__all__ = [
+    "SamplingProfiler",
+    "DEFAULT_RATE_HZ",
+    "MAX_STACK_DEPTH",
+    "PARKED_BUCKET",
+    "PARKED_FRAMES",
+]
 
 DEFAULT_RATE_HZ = 97.0  # prime-ish, avoids phase-locking with 10ms timers
 MAX_STACK_DEPTH = 64
+#: Leaf frames of a thread blocked off-CPU: the selector poll every
+#: event loop parks in, and ``Condition.wait`` (events, queues, locks).
+PARKED_FRAMES = frozenset({"selectors:select", "threading:wait"})
+#: The :meth:`SamplingProfiler.attribution` row holding parked samples.
+PARKED_BUCKET = "<parked>"
 
 
 class SamplingProfiler:
@@ -123,16 +142,25 @@ class SamplingProfiler:
         rows = sorted(self.stacks.items(), key=lambda kv: (-kv[1], kv[0]))
         return [f"{';'.join(stack)} {count}" for stack, count in rows]
 
-    def attribution(self) -> dict[str, dict[str, float]]:
-        """Samples bucketed by the innermost ``repro.*`` module on stack.
+    @property
+    def parked(self) -> int:
+        """Samples that caught the thread parked in a :data:`PARKED_FRAMES` leaf."""
+        return sum(n for stack, n in self.stacks.items() if _is_parked(stack))
 
-        Frames outside the package (asyncio, selectors, json...) fall
-        into an ``<other>`` bucket keyed by their top-level module, so
+    def attribution(self) -> dict[str, dict[str, float]]:
+        """On-CPU samples bucketed by the innermost ``repro.*`` module on stack.
+
+        Frames outside the package (asyncio, json...) fall into an
+        ``<other>`` bucket keyed by their top-level module, so
         event-loop overhead is visible rather than silently folded into
-        protocol code.
+        protocol code.  Rows are ranked by samples; parked samples come
+        last as one :data:`PARKED_BUCKET` row, whatever their number.
+        Percentages are shares of all samples, so the rows sum to 100.
         """
         buckets: dict[str, int] = {}
         for stack, count in self.stacks.items():
+            if _is_parked(stack):
+                continue
             bucket = None
             for entry in reversed(stack):  # innermost repro frame wins
                 module = entry.partition(":")[0]
@@ -143,11 +171,12 @@ class SamplingProfiler:
                 leaf = stack[-1].partition(":")[0] if stack else "?"
                 bucket = f"<other> {leaf.partition('.')[0]}"
             buckets[bucket] = buckets.get(bucket, 0) + count
+        rows = sorted(buckets.items(), key=lambda kv: -kv[1])
+        parked = self.parked
+        if parked:
+            rows.append((PARKED_BUCKET, parked))
         total = self.samples or 1
-        return {
-            name: {"samples": n, "percent": 100.0 * n / total}
-            for name, n in sorted(buckets.items(), key=lambda kv: -kv[1])
-        }
+        return {name: {"samples": n, "percent": 100.0 * n / total} for name, n in rows}
 
     def report(self) -> dict:
         """JSON-serialisable exit-report block."""
@@ -158,7 +187,12 @@ class SamplingProfiler:
         return {
             "rate_hz": self.rate_hz,
             "samples": self.samples,
+            "parked": self.parked,
             "elapsed": elapsed,
             "collapsed": self.collapsed(),
             "attribution": self.attribution(),
         }
+
+
+def _is_parked(stack: tuple[str, ...]) -> bool:
+    return bool(stack) and stack[-1] in PARKED_FRAMES

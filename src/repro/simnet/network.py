@@ -148,9 +148,7 @@ class Connection:
         net.bytes_sent += size
         local_host = self.local.host
         remote_host = self.remote.host
-        path = (
-            net._path_cache.get((local_host, remote_host)) if net.use_path_cache else None
-        )
+        path = net._path_cache.get((local_host, remote_host))
         if path is None:
             path = net._path(local_host, remote_host)
         delay = net.latency.delay(path.src_site, path.dst_site, size, net.rng)
@@ -221,11 +219,7 @@ class Network:
         self._partition: dict[str, int] | None = None
         self._link_loss: dict[tuple[str, str], LossModel] = {}
         self._connections: list[Connection] = []
-        # Hot-path caches.  ``use_path_cache`` may be flipped off to get
-        # the uncached reference behaviour (the determinism tests assert
-        # both modes produce bit-identical traces); results are the same
-        # either way, only the per-datagram cost differs.
-        self.use_path_cache = True
+        # Hot-path caches, invalidated on every fault and topology change.
         self._path_cache: dict[tuple[str, str], _PathRecord] = {}
         self._mcast_cache: dict[tuple[str, str], tuple[Endpoint, ...]] = {}
         # One-entry wire-size memo: a fan-out sends the *same* message
@@ -304,10 +298,9 @@ class Network:
     def _path(self, src_host: str, dst_host: str) -> _PathRecord:
         """The (possibly cached) flat delivery record for one host pair."""
         key = (src_host, dst_host)
-        if self.use_path_cache:
-            record = self._path_cache.get(key)
-            if record is not None:
-                return record
+        record = self._path_cache.get(key)
+        if record is not None:
+            return record
         link_key = self._link_key(src_host, dst_host)
         src_site = self._info(src_host).site
         dst_site = self._info(dst_host).site
@@ -326,8 +319,7 @@ class Network:
             hops=self.latency.hops(src_site, dst_site),
             loss_override=self._link_loss.get(link_key),
         )
-        if self.use_path_cache:
-            self._path_cache[key] = record
+        self._path_cache[key] = record
         return record
 
     def fail_link(self, host_a: str, host_b: str) -> None:
@@ -456,7 +448,7 @@ class Network:
         self.bytes_sent += size
         # Inlined hot-path cache probe: _path() does the same lookup,
         # but the call frame itself is measurable at fabric rates.
-        path = self._path_cache.get((src.host, dst.host)) if self.use_path_cache else None
+        path = self._path_cache.get((src.host, dst.host))
         if path is None:
             path = self._path(src.host, dst.host)
         if not path.reachable:
@@ -477,7 +469,7 @@ class Network:
         self.sim.schedule_fire(delay, self._deliver_udp, message, src, dst)
 
     def _deliver_udp(self, message: Message, src: Endpoint, dst: Endpoint) -> None:
-        path = self._path_cache.get((src.host, dst.host)) if self.use_path_cache else None
+        path = self._path_cache.get((src.host, dst.host))
         if path is None:
             path = self._path(src.host, dst.host)
         if not path.reachable:
@@ -559,8 +551,7 @@ class Network:
                 for m in sorted(self._multicast_groups.get(group, ()))
                 if self._info(m.host).realm == realm
             )
-            if self.use_path_cache:
-                self._mcast_cache[key] = members
+            self._mcast_cache[key] = members
         return members
 
     # ------------------------------------------------------------------
@@ -622,11 +613,7 @@ class Network:
         peer = side.peer
         if peer is None or not peer.open:
             return  # connection torn down while the message was in flight
-        path = (
-            self._path_cache.get((side.local.host, side.remote.host))
-            if self.use_path_cache
-            else None
-        )
+        path = self._path_cache.get((side.local.host, side.remote.host))
         if path is None:
             path = self._path(side.local.host, side.remote.host)
         if not path.reachable:

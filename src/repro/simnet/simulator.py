@@ -1,36 +1,24 @@
 """The discrete-event loop.
 
-A :class:`Simulator` owns virtual time and a store of pending
-callbacks.  Two properties matter for reproducibility:
+A :class:`Simulator` owns virtual time and a binary heap
+(:mod:`heapq`) of pending callbacks.  Two properties matter for
+reproducibility:
 
 * **Deterministic ordering** -- events at equal timestamps fire in the
   order they were scheduled (a monotone sequence number breaks ties),
-  so runs are bit-for-bit repeatable for a fixed seed.
+  so runs are bit-for-bit repeatable for a fixed seed.  The golden
+  sha256 digests in ``tests/simnet`` pin this.
 * **Cancellation without rebuild** -- cancelling marks the entry dead;
-  it is dropped lazily, never by restructuring the pending store at
-  cancel time.
+  it is dropped lazily on pop.  Once dead entries outnumber
+  :data:`COMPACTION_DEAD_FRACTION` of a heap of at least
+  :data:`MIN_COMPACTION_SIZE` entries, the heap is rebuilt without
+  them, so timer-heavy runs (request timeouts that are almost always
+  cancelled) keep a bounded queue.
 
-Two interchangeable schedulers implement the store, selected by the
-``scheduler`` constructor argument:
-
-* ``"wheel"`` (default) -- a hierarchical timer wheel
-  (:mod:`repro.simnet.wheel`): O(1) ``schedule`` into per-tick buckets,
-  O(1) ``cancel`` with amortised dead-entry sweeps, and per-slot
-  batched delivery (one small ``heapify`` per millisecond of virtual
-  time instead of a global log-n heap per event).
-* ``"heap"`` -- the reference binary-heap scheduler: ``(time, seq,
-  event)`` tuples on :mod:`heapq` with lazy deletion.  The PR 2
-  ``compaction_threshold`` knob lives only here now (the wheel reclaims
-  cancelled entries unconditionally); pass ``None`` for the
-  pre-optimisation reference behaviour the determinism suite compares
-  against.
-
-Both schedulers fire callbacks in exactly ``(time, seq)`` order, so a
-fixed seed produces bit-identical traces in either mode -- the golden
-sha256 digests in ``tests/simnet`` pin this.
-
-The event loop is the hot path of every benchmark.  Besides the wheel,
-two fast paths keep long runs flat:
+Queue entries are tuples whose first two fields are ``(time, seq)``
+with a unique ``seq``, so ordering never compares past them and every
+comparison stays at C level.  The event loop is the hot path of every
+benchmark; two fast paths keep long runs flat:
 
 * a **live-event counter** makes :attr:`Simulator.pending` O(1) instead
   of an O(n) scan -- monitors and soak harnesses poll it freely;
@@ -47,13 +35,14 @@ from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 from typing import Any
 
-from .wheel import DEFAULT_GRANULARITY, TimerWheel
+__all__ = ["Simulator", "ScheduledEvent", "COMPACTION_DEAD_FRACTION", "MIN_COMPACTION_SIZE"]
 
-__all__ = ["Simulator", "ScheduledEvent"]
-
-#: Heap-mode compaction never runs below this queue size; tiny heaps
-#: are cheap to scan and rebuilding them would thrash.
-_MIN_COMPACTION_SIZE = 64
+#: The heap is rebuilt once cancelled entries make up more than this
+#: fraction of it.
+COMPACTION_DEAD_FRACTION = 0.5
+#: Compaction never runs below this queue size; tiny heaps are cheap to
+#: scan and rebuilding them would thrash.
+MIN_COMPACTION_SIZE = 64
 
 
 class ScheduledEvent:
@@ -92,9 +81,6 @@ class ScheduledEvent:
         if self._sim is not None:
             self._sim._note_cancelled()
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<ScheduledEvent t={self.time:.6f} {getattr(self.fn, '__name__', self.fn)} {state}>"
@@ -106,19 +92,10 @@ class Simulator:
     Parameters
     ----------
     scheduler:
-        ``"wheel"`` (default) for the hierarchical timer wheel,
-        ``"heap"`` for the reference binary-heap scheduler.
-    compaction_threshold:
-        Heap mode only: rebuild the heap without cancelled entries once
-        they make up more than this fraction of it (and the heap holds
-        at least 64 entries).  ``None`` disables compaction -- the
-        pre-optimisation reference behaviour the determinism tests
-        compare against.  Ignored by the wheel, which sweeps dead
-        entries unconditionally (see :mod:`repro.simnet.wheel`).
-    granularity:
-        Wheel mode only: virtual seconds per level-0 tick (default
-        1 ms).  Exact fire times are unaffected; the tick only selects
-        the delivery bucket.
+        Kept only for ``perfbench/tests/test_calibrate.py``, which
+        still constructs ``Simulator("wheel")`` and
+        ``Simulator("heap")``: both names build the one heap scheduler,
+        and any other value raises ``ValueError``.
 
     Examples
     --------
@@ -131,46 +108,16 @@ class Simulator:
     (['b', 'a'], 1.5)
     """
 
-    def __init__(
-        self,
-        scheduler: str = "wheel",
-        compaction_threshold: float | None = 0.5,
-        granularity: float = DEFAULT_GRANULARITY,
-    ) -> None:
-        if scheduler not in ("wheel", "heap"):
-            raise ValueError(f"scheduler must be 'wheel' or 'heap', got {scheduler!r}")
-        if compaction_threshold is not None and not 0.0 < compaction_threshold < 1.0:
-            raise ValueError(
-                f"compaction_threshold must be in (0, 1) or None, got {compaction_threshold}"
-            )
-        self.scheduler = scheduler
+    def __init__(self, scheduler: str = "heap") -> None:
+        if scheduler not in ("heap", "wheel"):
+            raise ValueError(f"scheduler must be 'heap' or 'wheel', got {scheduler!r}")
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
+        self._queue: list[tuple] = []
         self._live = 0  # queued entries that are not cancelled
-        self._dead = 0  # heap mode: queued cancelled entries (lazy-deleted)
-        self.compaction_threshold = compaction_threshold
+        self._dead = 0  # queued cancelled entries (lazy-deleted)
         self._compactions = 0
-        if scheduler == "wheel":
-            self._wheel: TimerWheel | None = TimerWheel(granularity)
-            #: Min-heap of entries at or before the wheel cursor -- the
-            #: slot currently being drained plus same-tick arrivals.
-            self._active: list[tuple] = []
-            self.schedule = self._schedule_wheel
-            self.schedule_at = self._schedule_at_wheel
-            self.schedule_fire = self._schedule_fire_wheel
-            self.schedule_fire_at = self._schedule_fire_at_wheel
-            self.step = self._step_wheel
-            self.run = self._run_wheel
-        else:
-            self._wheel = None
-            self._queue = []
-            self.schedule = self._schedule_heap
-            self.schedule_at = self._schedule_at_heap
-            self.schedule_fire = self._schedule_fire_heap
-            self.schedule_fire_at = self._schedule_fire_at_heap
-            self.step = self._step_heap
-            self.run = self._run_heap
 
     @property
     def now(self) -> float:
@@ -184,11 +131,8 @@ class Simulator:
 
     @property
     def queue_size(self) -> int:
-        """Physical store size, cancelled entries included."""
-        wheel = self._wheel
-        if wheel is None:
-            return len(self._queue)
-        return len(self._active) + wheel.bucketed
+        """Physical heap size, cancelled entries included."""
+        return len(self._queue)
 
     @property
     def events_processed(self) -> int:
@@ -197,16 +141,13 @@ class Simulator:
 
     @property
     def compactions(self) -> int:
-        """Dead-entry reclamations performed (heap rebuilds or wheel sweeps)."""
-        wheel = self._wheel
-        if wheel is None:
-            return self._compactions
-        return wheel.sweeps
+        """Heap rebuilds that dropped cancelled entries."""
+        return self._compactions
 
     # ------------------------------------------------------------------
-    # Scheduling -- wheel mode
+    # Scheduling
     # ------------------------------------------------------------------
-    def _schedule_wheel(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
@@ -214,32 +155,22 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         ev = ScheduledEvent(time, seq, fn, args, self)
-        wheel = self._wheel
-        tick = int(time * wheel.inv_granularity)
-        if tick <= wheel.cur_tick:
-            heappush(self._active, (time, seq, ev))
-        else:
-            wheel.insert((time, seq, ev), tick)
+        heappush(self._queue, (time, seq, ev))
         self._live += 1
         return ev
 
-    def _schedule_at_wheel(self, time: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule into the past (t={time} < now={self._now})")
         seq = self._seq
         self._seq = seq + 1
         ev = ScheduledEvent(time, seq, fn, args, self)
-        wheel = self._wheel
-        tick = int(time * wheel.inv_granularity)
-        if tick <= wheel.cur_tick:
-            heappush(self._active, (time, seq, ev))
-        else:
-            wheel.insert((time, seq, ev), tick)
+        heappush(self._queue, (time, seq, ev))
         self._live += 1
         return ev
 
-    def _schedule_fire_wheel(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+    def schedule_fire(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no handle, not cancellable.
 
         The fabric's delivery path -- every datagram and TCP segment --
@@ -248,68 +179,12 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        wheel = self._wheel
-        tick = int(time * wheel.inv_granularity)
-        if tick <= wheel.cur_tick:
-            heappush(self._active, (time, seq, fn, args))
-        else:
-            wheel.insert((time, seq, fn, args), tick)
+        heappush(self._queue, (self._now + delay, seq, fn, args))
         self._live += 1
 
-    def _schedule_fire_at_wheel(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no handle, not cancellable."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule into the past (t={time} < now={self._now})")
-        seq = self._seq
-        self._seq = seq + 1
-        wheel = self._wheel
-        tick = int(time * wheel.inv_granularity)
-        if tick <= wheel.cur_tick:
-            heappush(self._active, (time, seq, fn, args))
-        else:
-            wheel.insert((time, seq, fn, args), tick)
-        self._live += 1
-
-    # ------------------------------------------------------------------
-    # Scheduling -- heap mode
-    # ------------------------------------------------------------------
-    def _schedule_heap(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        ev = ScheduledEvent(time, seq, fn, args, self)
-        heappush(self._queue, (time, seq, ev))
-        self._live += 1
-        return ev
-
-    def _schedule_at_heap(self, time: float, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
-        """Run ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule into the past (t={time} < now={self._now})")
-        seq = self._seq
-        self._seq = seq + 1
-        ev = ScheduledEvent(time, seq, fn, args, self)
-        heappush(self._queue, (time, seq, ev))
-        self._live += 1
-        return ev
-
-    def _schedule_fire_heap(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, not cancellable."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._queue, (time, seq, fn, args))
-        self._live += 1
-
-    def _schedule_fire_at_heap(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+    def schedule_fire_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at`: no handle, not cancellable."""
         if time < self._now:
             raise ValueError(f"cannot schedule into the past (t={time} < now={self._now})")
@@ -318,9 +193,6 @@ class Simulator:
         heappush(self._queue, (time, seq, fn, args))
         self._live += 1
 
-    # ------------------------------------------------------------------
-    # Periodic timers (shared by both modes)
-    # ------------------------------------------------------------------
     def call_every(
         self,
         interval: float,
@@ -336,11 +208,10 @@ class Simulator:
         is re-armed before the exception propagates, so periodic
         services (heartbeat renewals, sweeps) survive one bad callback.
 
-        The cancellation check runs both *before* the callback (a
-        cancel elsewhere in the same delivery batch must suppress the
-        tick) and *after* it (a callback cancelling its own handle
-        mid-fire must not re-arm a dead timer) -- the wheel's batched
-        same-tick delivery makes both orderings reachable in one slot.
+        The cancellation check runs both *before* the callback (the
+        queued tick is not itself cancelled, so a cancel of the series
+        must suppress it) and *after* it (a callback cancelling its own
+        handle mid-fire must not re-arm a dead timer).
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
@@ -365,136 +236,42 @@ class Simulator:
     # Cancelled-entry accounting
     # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
-        """A queued entry was cancelled; reclaim if the store is mostly dead."""
+        """A queued entry was cancelled; compact if the heap is mostly dead."""
         self._live -= 1
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.note_cancelled()
-            return
         self._dead += 1
-        threshold = self.compaction_threshold
-        if (
-            threshold is not None
-            and len(self._queue) >= _MIN_COMPACTION_SIZE
-            and self._dead > threshold * len(self._queue)
-        ):
+        size = len(self._queue)
+        if size >= MIN_COMPACTION_SIZE and self._dead > COMPACTION_DEAD_FRACTION * size:
             self._compact()
 
     def _compact(self) -> None:
-        """Heap mode: rebuild the heap without cancelled entries.
+        """Rebuild the heap, in place, without cancelled entries.
 
         Only entries that could never fire are removed, and heapify
         re-establishes the identical ``(time, seq)`` total order, so
         pop order -- and therefore every virtual-time result -- is
-        unchanged.
+        unchanged.  The list object is kept, so a loop holding it stays
+        valid across a compaction triggered from inside a callback.
         """
-        self._queue = [e for e in self._queue if len(e) == 4 or not e[2].cancelled]
-        heapify(self._queue)
+        queue = self._queue
+        queue[:] = [e for e in queue if len(e) == 4 or not e[2].cancelled]
+        heapify(queue)
         self._dead = 0
         self._compactions += 1
 
     # ------------------------------------------------------------------
-    # Execution -- wheel mode
+    # Execution
     # ------------------------------------------------------------------
-    def _step_wheel(self) -> bool:
-        """Fire the single next event.  Returns False if the store is empty."""
-        wheel = self._wheel
-        while True:
-            active = self._active
-            if not active:
-                batch = wheel.promote()
-                if batch is None:
-                    return False
-                if batch:
-                    heapify(batch)
-                    self._active = batch
-                continue
-            entry = heappop(active)
+    def step(self) -> bool:
+        """Fire the single next event.  Returns False if the heap is empty."""
+        queue = self._queue
+        while queue:
+            entry = heappop(queue)
             if len(entry) == 3:
                 ev = entry[2]
-                if ev.cancelled:
-                    if wheel.dead:
-                        wheel.dead -= 1
-                    continue
                 ev._sim = None
-                self._now = entry[0]
-                self._events_processed += 1
-                self._live -= 1
-                ev.fn(*ev.args)
-                return True
-            self._now = entry[0]
-            self._events_processed += 1
-            self._live -= 1
-            entry[2](*entry[3])
-            return True
-
-    def _run_wheel(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Drain the store, optionally stopping at virtual time ``until``.
-
-        With ``until`` set, time is advanced exactly to ``until`` when
-        the store runs dry early, so post-run ``now`` is predictable.
-        ``max_events`` bounds runaway simulations (raises RuntimeError).
-        """
-        fired = 0
-        wheel = self._wheel
-        bounded = max_events is not None
-        active = self._active
-        while True:
-            if not active:
-                batch = wheel.promote()
-                if batch is None:
-                    break
-                if batch:
-                    heapify(batch)
-                    self._active = active = batch
-                continue
-            entry = active[0]
-            if len(entry) == 3:
-                ev = entry[2]
-                if ev.cancelled:
-                    heappop(active)
-                    ev._sim = None
-                    if wheel.dead:
-                        wheel.dead -= 1
-                    continue
-                time = entry[0]
-                if until is not None and time > until:
-                    break
-                heappop(active)
-                ev._sim = None
-                self._now = time
-                self._events_processed += 1
-                self._live -= 1
-                ev.fn(*ev.args)
-            else:
-                time = entry[0]
-                if until is not None and time > until:
-                    break
-                heappop(active)
-                self._now = time
-                self._events_processed += 1
-                self._live -= 1
-                entry[2](*entry[3])
-            fired += 1
-            if bounded and fired >= max_events:
-                raise RuntimeError(f"simulation exceeded max_events={max_events}")
-        if until is not None and until > self._now:
-            self._now = until
-
-    # ------------------------------------------------------------------
-    # Execution -- heap mode
-    # ------------------------------------------------------------------
-    def _step_heap(self) -> bool:
-        """Fire the single next event.  Returns False if the store is empty."""
-        while self._queue:
-            entry = heappop(self._queue)
-            if len(entry) == 3:
-                ev = entry[2]
                 if ev.cancelled:
                     self._dead -= 1
-                    ev._sim = None
                     continue
-                ev._sim = None
                 self._live -= 1
                 self._now = entry[0]
                 self._events_processed += 1
@@ -507,29 +284,28 @@ class Simulator:
             return True
         return False
 
-    def _run_heap(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Drain the store, optionally stopping at virtual time ``until``.
+    def run(self, until: float | None = None, max_events: int | None = None) -> None:
+        """Drain the heap, optionally stopping at virtual time ``until``.
 
         With ``until`` set, time is advanced exactly to ``until`` when
-        the store runs dry early, so post-run ``now`` is predictable.
+        the heap runs dry early, so post-run ``now`` is predictable.
         ``max_events`` bounds runaway simulations (raises RuntimeError).
         """
         fired = 0
-        while self._queue:
-            # self._queue is re-read every iteration: a callback's
-            # cancel() can trigger compaction, which rebinds it.
-            entry = self._queue[0]
+        queue = self._queue
+        while queue:
+            entry = queue[0]
             if len(entry) == 3:
                 ev = entry[2]
                 if ev.cancelled:
-                    heappop(self._queue)
+                    heappop(queue)
                     self._dead -= 1
                     ev._sim = None
                     continue
                 time = entry[0]
                 if until is not None and time > until:
                     break
-                heappop(self._queue)
+                heappop(queue)
                 ev._sim = None
                 self._live -= 1
                 self._now = time
@@ -539,7 +315,7 @@ class Simulator:
                 time = entry[0]
                 if until is not None and time > until:
                     break
-                heappop(self._queue)
+                heappop(queue)
                 self._live -= 1
                 self._now = time
                 self._events_processed += 1
@@ -550,9 +326,6 @@ class Simulator:
         if until is not None and until > self._now:
             self._now = until
 
-    # ------------------------------------------------------------------
-    # Shared execution helpers
-    # ------------------------------------------------------------------
     def run_for(self, duration: float) -> None:
         """Advance virtual time by ``duration`` seconds, firing due events."""
         self.run(until=self._now + duration)

@@ -58,23 +58,12 @@ class BrokerNetwork:
         Models installed on the fabric.
     keep_trace:
         Whether to retain full trace records (counters always on).
-    optimized:
-        ``False`` disables every hot-path cache (heap compaction, the
-        fabric's path cache, broker route memoisation) so determinism
-        tests can compare the optimised world against the reference
-        behaviour.  Virtual-time results must be identical either way.
     observe:
         Attach a shared :class:`~repro.obs.Observability` (flight
         recorders + metrics registry on the virtual clock) to every
         broker built here.  Off by default: observed worlds mark
         discovery traffic on the wire, which perturbs byte-level
         determinism digests.
-    scheduler:
-        Explicit scheduler choice (``"wheel"`` or ``"heap"``),
-        overriding the one implied by ``optimized`` while keeping every
-        other cache setting.  Benchmarks use this to price the wheel
-        against the compacting heap on otherwise identical worlds;
-        virtual-time results are identical either way.
     """
 
     def __init__(
@@ -83,25 +72,9 @@ class BrokerNetwork:
         latency: LatencyModel | None = None,
         loss: LossModel | None = None,
         keep_trace: bool = False,
-        optimized: bool = True,
         observe: bool = False,
-        scheduler: str | None = None,
     ) -> None:
-        self.optimized = optimized
-        # Optimized worlds run the hierarchical timer wheel; reference
-        # worlds run the plain binary heap with lazy deletion and no
-        # compaction (the pre-optimisation behaviour).  Both fire in
-        # identical (time, seq) order -- the golden digests pin it.
-        if scheduler is None:
-            self.sim = (
-                Simulator("wheel")
-                if optimized
-                else Simulator("heap", compaction_threshold=None)
-            )
-        elif scheduler == "wheel":
-            self.sim = Simulator("wheel")
-        else:
-            self.sim = Simulator(scheduler)  # compacting heap default
+        self.sim = Simulator()
         self.master_rng = np.random.default_rng(seed)
         self.obs = Observability(clock=lambda: self.sim.now) if observe else None
         self.tracer = Tracer(lambda: self.sim.now, keep_records=keep_trace)
@@ -112,7 +85,6 @@ class BrokerNetwork:
             rng=self._child_rng(),
             tracer=self.tracer,
         )
-        self.network.use_path_cache = optimized
         self.brokers: dict[str, Broker] = {}
         self._edges: set[tuple[str, str]] = set()
 
@@ -151,7 +123,6 @@ class BrokerNetwork:
             tracer=self.tracer,
             obs=self.obs,
         )
-        broker.use_route_cache = self.optimized
         self.brokers[name] = broker
         if start:
             broker.start()

@@ -293,3 +293,57 @@ class TestLazyControlPath:
         world.sim.run_for(1.0)
         assert responder.requests_processed == 0
         assert len(responder.dedup) == 0
+
+
+# (node, event, hop) of every span one traced discovery leaves behind in
+# an observed seed-5 world, in timeline order.  Both worlds include a
+# responder that sees the request again on the control topic and
+# suppresses it (``recv`` then ``dup_suppressed`` at the same hop).
+_REQ, _BDN = "requesting-node", "bdn-bloomington"
+_IND, _URB, _MIN = "broker-indianapolis", "broker-urbana", "broker-minneapolis"
+_TAL, _CAR = "broker-tallahassee", "broker-cardiff"
+_CLIENT_HEAD = [
+    (_REQ, "phase", 0), (_REQ, "send", 0), (_BDN, "recv", 0), (_BDN, "send", 0),
+    (_REQ, "recv", 0), (_REQ, "phase", 0), (_BDN, "inject", 1),
+    (_IND, "recv", 1), (_IND, "inject", 2), (_IND, "recv", 2),
+    (_IND, "dup_suppressed", 2), (_IND, "respond", 2), (_REQ, "recv", 2),
+]
+_CLIENT_TAIL = [
+    (_REQ, "phase", 0), (_REQ, "phase", 0),
+    (_REQ, "send", 0), (_REQ, "send", 0), (_REQ, "send", 0), (_REQ, "recv", 1),
+    (_REQ, "send", 0), (_REQ, "send", 0), (_REQ, "send", 0),
+    (_REQ, "recv", 1), (_REQ, "recv", 1), (_REQ, "recv", 1), (_REQ, "recv", 1),
+    (_REQ, "recv", 1), (_REQ, "phase", 0), (_REQ, "done", 0),
+]
+_SPAN_ORDER = {
+    "star": _CLIENT_HEAD + [
+        (_URB, "recv", 2), (_MIN, "recv", 2), (_URB, "respond", 3), (_MIN, "respond", 3),
+        (_TAL, "recv", 2), (_REQ, "recv", 3), (_TAL, "respond", 3), (_REQ, "recv", 3),
+        (_REQ, "recv", 3), (_BDN, "inject", 1), (_CAR, "recv", 2), (_CAR, "respond", 3),
+        (_CAR, "recv", 1), (_CAR, "dup_suppressed", 1), (_REQ, "recv", 3),
+    ] + _CLIENT_TAIL,
+    "linear": _CLIENT_HEAD + [
+        (_MIN, "recv", 2), (_MIN, "respond", 3), (_URB, "recv", 2), (_REQ, "recv", 3),
+        (_URB, "respond", 3), (_REQ, "recv", 3), (_TAL, "recv", 2), (_TAL, "respond", 3),
+        (_REQ, "recv", 3), (_CAR, "recv", 2), (_CAR, "respond", 3), (_REQ, "recv", 3),
+    ] + _CLIENT_TAIL,
+}
+
+
+@pytest.mark.parametrize("topology", ["star", "linear"])
+def test_traced_request_span_order(topology):
+    """Observed worlds keep their recv/dup_suppressed causal order.
+
+    Control-topic duplicates take the lazy-decode path; with a recorder
+    attached it must still emit the spans, in the same order, that a
+    full decode followed by dedup would.
+    """
+    from repro.experiments.scenarios import DiscoveryScenario, ScenarioSpec
+    from repro.obs.timeline import assemble, complete_request_ids
+
+    spec = {"star": ScenarioSpec.star, "linear": ScenarioSpec.linear}[topology](seed=5)
+    scenario = DiscoveryScenario(spec, observe=True)
+    assert scenario.run_one().success
+    (trace_id,) = complete_request_ids(scenario.obs)
+    timeline = assemble(scenario.obs, trace_id)
+    assert [(e.node, e.event, e.hop) for e in timeline] == _SPAN_ORDER[topology]

@@ -1,12 +1,16 @@
-"""Optimisations must be invisible to virtual-time results.
+"""Seeded worlds must stay bit-for-bit identical to their golden digests.
 
-Every hot-path cache added by the performance pass (heap compaction,
-the fabric's per-path cache, broker route memoisation) can be switched
-off via ``optimized=False``, which restores the reference behaviour.
-These tests run the same seeded worlds both ways and require the runs
-to be *byte-for-byte identical*: same trace records, same event counts,
-same outcomes.  Any divergence means an optimisation changed scheduling
-or RNG draw order -- a correctness bug, not a perf trade-off.
+``golden_traces.json`` holds one sha256 digest per world: the full
+result (trace records, event count, virtual end time, outcomes) of a
+seeded discovery (star and linear), substrate and overload run.  The
+worlds exercise every hot path that could perturb scheduling or RNG
+draw order -- heap compaction of cancelled timers, the fabric's path
+and multicast caches, broker route memoisation, the runtime adapter,
+service-time queues and admission shedding.  A digest mismatch means a
+change moved an event or a random draw: a correctness bug, not a perf
+trade-off.  Each digest was once computed with every cache switched
+off as well as on and came out the same, so it stands as the reference
+those caches are checked against.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ def _trace_signature(net) -> tuple:
     return tuple((r.time, r.event, r.node, r.detail) for r in net.tracer.records)
 
 
-def _run_discovery_world(topology: str, optimized: bool, runs: int = 3) -> tuple:
+def _run_discovery_world(topology: str, runs: int = 3) -> tuple:
     ctor = {"star": ScenarioSpec.star, "linear": ScenarioSpec.linear}[topology]
-    scenario = DiscoveryScenario(ctor(seed=5), keep_trace=True, optimized=optimized)
+    scenario = DiscoveryScenario(ctor(seed=5), keep_trace=True)
     outcomes = scenario.run(runs=runs)
     sim = scenario.net.sim
     return (
@@ -40,15 +44,8 @@ def _run_discovery_world(topology: str, optimized: bool, runs: int = 3) -> tuple
     )
 
 
-@pytest.mark.parametrize("topology", ["star", "linear"])
-def test_discovery_identical_with_and_without_optimizations(topology):
-    reference = _run_discovery_world(topology, optimized=False)
-    optimized = _run_discovery_world(topology, optimized=True)
-    assert optimized == reference
-
-
-def _run_substrate_world(optimized: bool) -> tuple:
-    net = BrokerNetwork(seed=13, keep_trace=True, optimized=optimized)
+def _run_substrate_world() -> tuple:
+    net = BrokerNetwork(seed=13, keep_trace=True)
     for i in range(4):
         net.add_broker(f"b{i}", site=f"site{i % 2}")
     net.apply_topology(Topology.MESH)
@@ -57,7 +54,7 @@ def _run_substrate_world(optimized: bool) -> tuple:
     timers = []
     for i in range(120):
         # Publish through the fabric and churn cancelled timers, the
-        # pattern that triggers compaction in the optimised world.
+        # pattern that triggers heap compaction.
         broker = brokers[i % len(brokers)]
         net.sim.schedule(
             0.01 * i,
@@ -77,18 +74,12 @@ def _run_substrate_world(optimized: bool) -> tuple:
     return (_trace_signature(net), net.sim.events_processed, net.sim.now)
 
 
-def test_substrate_identical_with_and_without_optimizations():
-    reference = _run_substrate_world(optimized=False)
-    optimized = _run_substrate_world(optimized=True)
-    assert optimized == reference
-
-
-def _run_overload_world(optimized: bool) -> tuple:
+def _run_overload_world() -> tuple:
     """An overload-protected world under a request storm.
 
     Exercises the service-time queues, admission shedding, the client's
     budgeted retries / breakers, and the storm injector -- all the new
-    machinery must schedule and draw identically either way.
+    machinery must schedule and draw exactly as when the digest was taken.
     """
     import numpy as np
 
@@ -100,7 +91,7 @@ def _run_overload_world(optimized: bool) -> tuple:
     from repro.discovery.responder import DiscoveryResponder
     from repro.experiments.harness import run_discovery_once
 
-    net = BrokerNetwork(seed=21, keep_trace=True, optimized=optimized)
+    net = BrokerNetwork(seed=21, keep_trace=True)
     responders = []
     for i in range(3):
         broker = net.add_broker(f"b{i}", site=f"s{i}", realm="lab")
@@ -167,12 +158,6 @@ def _run_overload_world(optimized: bool) -> tuple:
     )
 
 
-def test_overload_world_identical_with_and_without_optimizations():
-    reference = _run_overload_world(optimized=False)
-    optimized = _run_overload_world(optimized=True)
-    assert optimized == reference
-
-
 # ----------------------------------------------------------------------
 # Golden traces: the sim runtime adapter must be bit-for-bit invisible
 # ----------------------------------------------------------------------
@@ -199,22 +184,17 @@ def golden() -> dict[str, str]:
 
 
 @pytest.mark.parametrize("topology", ["star", "linear"])
-@pytest.mark.parametrize("optimized", [False, True])
-def test_discovery_traces_match_pre_refactor_golden(golden, topology, optimized):
-    result = _run_discovery_world(topology, optimized=optimized)
-    assert _digest(result) == golden[f"discovery_{topology}_opt{optimized}"]
+def test_discovery_traces_match_pre_refactor_golden(golden, topology):
+    result = _run_discovery_world(topology)
+    assert _digest(result) == golden[f"discovery_{topology}"]
 
 
-@pytest.mark.parametrize("optimized", [False, True])
-def test_substrate_traces_match_pre_refactor_golden(golden, optimized):
-    result = _run_substrate_world(optimized=optimized)
-    assert _digest(result) == golden[f"substrate_opt{optimized}"]
+def test_substrate_traces_match_pre_refactor_golden(golden):
+    assert _digest(_run_substrate_world()) == golden["substrate"]
 
 
-@pytest.mark.parametrize("optimized", [False, True])
-def test_overload_traces_match_pre_refactor_golden(golden, optimized):
-    result = _run_overload_world(optimized=optimized)
-    assert _digest(result) == golden[f"overload_opt{optimized}"]
+def test_overload_traces_match_pre_refactor_golden(golden):
+    assert _digest(_run_overload_world()) == golden["overload"]
 
 
 # ----------------------------------------------------------------------
@@ -247,12 +227,12 @@ def test_observed_world_completes_and_records(golden):
     assert trace_id == outcome.request_uuid
     assert assemble(obs, trace_id).is_complete()
     # ... and running it did not disturb the disabled-world digests.
-    result = _run_discovery_world("star", optimized=True)
-    assert _digest(result) == golden["discovery_star_optTrue"]
+    result = _run_discovery_world("star")
+    assert _digest(result) == golden["discovery_star"]
 
 
 def test_disabled_world_unchanged_after_observed_world(golden):
-    before = _digest(_run_discovery_world("linear", optimized=False))
+    before = _digest(_run_discovery_world("linear"))
     _run_observed_world("linear")
-    after = _digest(_run_discovery_world("linear", optimized=False))
-    assert before == after == golden["discovery_linear_optFalse"]
+    after = _digest(_run_discovery_world("linear"))
+    assert before == after == golden["discovery_linear"]

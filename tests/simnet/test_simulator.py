@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simnet.simulator import Simulator
+from repro.simnet.simulator import MIN_COMPACTION_SIZE, Simulator
 
 
 class TestScheduling:
@@ -91,6 +91,21 @@ class TestCancellation:
         sim.schedule(1.0, later.cancel)
         sim.run()
         assert fired == []
+
+    def test_far_future_entry_cancelled_after_time_passes(self):
+        sim = Simulator()
+        fired = []
+        victim = sim.schedule(70.0, fired.append, "victim")
+        sim.schedule(70.0, fired.append, "survivor")
+        sim.run_for(30.0)
+        victim.cancel()
+        sim.run_for(50.0)
+        assert fired == ["survivor"]
+        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
+        assert sim.pending == 10
+        for h in handles[:4]:
+            h.cancel()
+        assert sim.pending == 6
 
 
 class TestRunControl:
@@ -194,20 +209,17 @@ class TestAccounting:
         assert sim.pending == 0
 
     def test_queue_size_includes_cancelled(self):
-        # Both schedulers keep a cancelled entry in the store until it
-        # is lazily dropped (heap: on pop; wheel: on pop or sweep).
-        for sim in (
-            Simulator("heap", compaction_threshold=None),
-            Simulator("wheel"),
-        ):
-            h = sim.schedule(1.0, lambda: None)
-            sim.schedule(2.0, lambda: None)
-            h.cancel()
-            assert sim.queue_size == 2
-            assert sim.pending == 1
+        # A cancelled entry stays in the heap until it is lazily dropped
+        # on pop (or by a compaction).
+        sim = Simulator()
+        h = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        h.cancel()
+        assert sim.queue_size == 2
+        assert sim.pending == 1
 
     def test_compaction_reclaims_cancelled_entries(self):
-        sim = Simulator("heap", compaction_threshold=0.5)
+        sim = Simulator()
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
         for h in handles:
             h.cancel()
@@ -215,71 +227,56 @@ class TestAccounting:
         assert sim.queue_size < 100
         assert sim.pending == 0
 
-    def test_compaction_disabled_with_none(self):
-        sim = Simulator("heap", compaction_threshold=None)
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
+    def test_small_heap_never_compacts(self):
+        # Below the size floor a dead heap is left for lazy deletion.
+        sim = Simulator()
+        size = MIN_COMPACTION_SIZE - 1
+        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(size)]
         for h in handles:
             h.cancel()
         assert sim.compactions == 0
-        assert sim.queue_size == 100
-
-    def test_wheel_sweep_reclaims_cancelled_entries(self):
-        # The wheel needs no compaction knob: dead bucketed entries are
-        # swept unconditionally once they outnumber the live ones.
-        sim = Simulator("wheel")
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
-        for h in handles:
-            h.cancel()
-        assert sim.compactions >= 1
-        assert sim.queue_size < 100
+        assert sim.queue_size == size
         assert sim.pending == 0
 
     def test_compaction_preserves_firing_order(self):
-        sim_opt = Simulator("heap", compaction_threshold=0.5)
-        sim_ref = Simulator("heap", compaction_threshold=None)
-        sim_wheel = Simulator("wheel")
-        results = {}
-        for name, sim in (("opt", sim_opt), ("ref", sim_ref), ("wheel", sim_wheel)):
-            fired: list[tuple[float, int]] = []
-            keep = []
-            for i in range(200):
-                keep.append(sim.schedule(float(i % 17), fired.append, (float(i % 17), i)))
-            for i, h in enumerate(keep):
-                if i % 3:  # cancel two thirds, forcing compactions
-                    h.cancel()
-            sim.run()
-            results[name] = fired
-        assert results["opt"] == results["ref"] == results["wheel"]
-        assert sim_opt.compactions >= 1
-        assert sim_wheel.compactions >= 1
-
-    def test_invalid_compaction_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(compaction_threshold=0.0)
-        with pytest.raises(ValueError):
-            Simulator(compaction_threshold=1.5)
+        sim = Simulator()
+        fired: list[tuple[float, int]] = []
+        keep = []
+        for i in range(200):
+            keep.append(sim.schedule(float(i % 17), fired.append, (float(i % 17), i)))
+        for i, h in enumerate(keep):
+            if i % 3:  # cancel two thirds, forcing compactions
+                h.cancel()
+        sim.run()
+        assert fired == sorted((float(i % 17), i) for i in range(200) if i % 3 == 0)
+        assert sim.compactions >= 1
 
     def test_invalid_scheduler_rejected(self):
         with pytest.raises(ValueError):
             Simulator("calendar")
 
-    def test_invalid_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(granularity=0.0)
+    def test_both_scheduler_names_build_the_one_scheduler(self):
+        for name in ("heap", "wheel"):
+            sim = Simulator(name)
+            fired = []
+            sim.schedule(2.0, fired.append, "b")
+            sim.schedule(1.0, fired.append, "a")
+            sim.run()
+            assert fired == ["a", "b"]
 
     def test_fire_and_forget_has_no_handle(self):
-        for sim in (Simulator("wheel"), Simulator("heap")):
-            fired = []
-            assert sim.schedule_fire(1.0, fired.append, "a") is None
-            sim.schedule_fire_at(0.5, fired.append, "b")
-            assert sim.pending == 2
-            sim.run()
-            assert fired == ["b", "a"]
-            assert sim.events_processed == 2
-            with pytest.raises(ValueError):
-                sim.schedule_fire(-1.0, fired.append, "x")
-            with pytest.raises(ValueError):
-                sim.schedule_fire_at(sim.now - 1.0, fired.append, "x")
+        sim = Simulator()
+        fired = []
+        assert sim.schedule_fire(1.0, fired.append, "a") is None
+        sim.schedule_fire_at(0.5, fired.append, "b")
+        assert sim.pending == 2
+        sim.run()
+        assert fired == ["b", "a"]
+        assert sim.events_processed == 2
+        with pytest.raises(ValueError):
+            sim.schedule_fire(-1.0, fired.append, "x")
+        with pytest.raises(ValueError):
+            sim.schedule_fire_at(sim.now - 1.0, fired.append, "x")
 
 
 class TestPeriodicExceptionSafety:
@@ -315,27 +312,16 @@ class TestPeriodicExceptionSafety:
         assert fired == [1.0]
 
 
-def _sim_modes():
-    """Both scheduler paths: the regression must hold on each."""
-    return [
-        ("wheel", lambda: Simulator("wheel")),
-        ("heap", lambda: Simulator("heap")),
-        ("heap-ref", lambda: Simulator("heap", compaction_threshold=None)),
-    ]
-
-
 class TestPeriodicSelfCancel:
     """A callback cancelling its own handle mid-fire must not re-arm.
 
-    Latent hazard with the wheel's batched same-tick delivery: if
-    ``call_every`` re-armed before invoking the callback (or skipped
+    If ``call_every`` re-armed before invoking the callback (or skipped
     the post-callback cancellation re-check), a self-cancel would leave
     one dead-but-live tick scheduled, which fires the series once more.
     """
 
-    @pytest.mark.parametrize(("name", "make"), _sim_modes())
-    def test_self_cancel_mid_fire_stops_the_series(self, name, make):
-        sim = make()
+    def test_self_cancel_mid_fire_stops_the_series(self):
+        sim = Simulator()
         fired = []
 
         def tick():
@@ -345,14 +331,12 @@ class TestPeriodicSelfCancel:
         series = sim.call_every(1.0, tick)
         sim.run(until=20.0)
         assert fired == [1.0]
-        assert sim.pending == 0, f"{name}: dead tick left armed"
+        assert sim.pending == 0, "dead tick left armed"
 
-    @pytest.mark.parametrize(("name", "make"), _sim_modes())
-    def test_self_cancel_with_subtick_interval(self, name, make):
-        # Interval far below the wheel granularity: every re-arm lands
-        # in the *same* level-0 slot as the firing tick, so the re-arm
-        # and the cancel race inside one delivery batch.
-        sim = make()
+    def test_self_cancel_with_subtick_interval(self):
+        # A 10 us interval: every re-arm lands right behind the firing
+        # tick, so the re-arm and the cancel race inside one callback.
+        sim = Simulator()
         fired = []
 
         def tick():
@@ -365,28 +349,22 @@ class TestPeriodicSelfCancel:
         assert fired == [1e-5, 2e-5, 3e-5]
         assert sim.pending == 0
 
-    @pytest.mark.parametrize(("name", "make"), _sim_modes())
-    def test_sibling_cancel_in_same_tick_batch(self, name, make):
-        # Two events in one slot: the first cancels a series whose tick
-        # is also due in the same slot.  The tick still occupies a queue
-        # entry (identical accounting on both schedulers) but must not
+    def test_sibling_cancel_in_same_tick_batch(self):
+        # An earlier event cancels a series whose tick is already
+        # queued.  The tick still occupies a queue entry but must not
         # invoke the callback.
-        sim = make()
+        sim = Simulator()
         fired = []
         series = sim.call_every(1.0, fired.append, "periodic")
-        # Same fire time (1.0), scheduled later => runs first is False:
-        # seq order puts the series tick first... so cancel strictly
-        # earlier in the same slot instead.
         sim.schedule(0.9999, lambda: series.cancel())
         sim.run(until=5.0)
         assert fired == []
         assert sim.pending == 0
 
-    @pytest.mark.parametrize(("name", "make"), _sim_modes())
-    def test_cancel_then_restart_inside_callback(self, name, make):
+    def test_cancel_then_restart_inside_callback(self):
         # Self-cancel followed by arming a fresh series inside the same
         # fire: the old series stays dead, the new one runs.
-        sim = make()
+        sim = Simulator()
         fired = []
 
         def tick():

@@ -82,10 +82,10 @@ class TestSpanningTreeRouting:
 
 
 class TestBrokerRouteCache:
-    def _mesh(self, optimized: bool = True):
+    def _mesh(self):
         from repro.substrate.builder import BrokerNetwork, Topology
 
-        net = BrokerNetwork(seed=11, optimized=optimized)
+        net = BrokerNetwork(seed=11)
         for name in ("ba", "bb", "bc"):
             net.add_broker(name, site="s1")
         net.apply_topology(Topology.MESH)
@@ -96,8 +96,8 @@ class TestBrokerRouteCache:
         net = self._mesh()
         broker = net.brokers["ba"]
         cached = broker._forward_targets("bb")
-        broker.use_route_cache = False
-        assert broker._forward_targets("bb") == cached == ("bc",)
+        uncached = tuple(sorted(broker.routing.targets(broker.name, broker.peers, "bb")))
+        assert broker._forward_targets("bb") == cached == uncached == ("bc",)
 
     def test_cache_invalidated_on_link_down(self):
         net = self._mesh()
