@@ -10,7 +10,9 @@ service-time queues and admission shedding.  A digest mismatch means a
 change moved an event or a random draw: a correctness bug, not a perf
 trade-off.  Each digest was once computed with every cache switched
 off as well as on and came out the same, so it stands as the reference
-those caches are checked against.
+those caches are checked against.  Each golden test runs its world cold
+and warm (built and run once before, in the same process), so no module
+counter, cache or memo carried between worlds can move a digest either.
 """
 
 from __future__ import annotations
@@ -183,18 +185,28 @@ def golden() -> dict[str, str]:
         return json.load(fh)
 
 
+def _digest_of(run, warm: bool) -> str:
+    """Digest of ``run()``; ``warm`` runs the same world once first."""
+    if warm:
+        run()
+    return _digest(run())
+
+
 @pytest.mark.parametrize("topology", ["star", "linear"])
-def test_discovery_traces_match_pre_refactor_golden(golden, topology):
-    result = _run_discovery_world(topology)
-    assert _digest(result) == golden[f"discovery_{topology}"]
+@pytest.mark.parametrize("warm", [False, True])
+def test_discovery_traces_match_pre_refactor_golden(golden, topology, warm):
+    digest = _digest_of(lambda: _run_discovery_world(topology), warm)
+    assert digest == golden[f"discovery_{topology}"]
 
 
-def test_substrate_traces_match_pre_refactor_golden(golden):
-    assert _digest(_run_substrate_world()) == golden["substrate"]
+@pytest.mark.parametrize("warm", [False, True])
+def test_substrate_traces_match_pre_refactor_golden(golden, warm):
+    assert _digest_of(_run_substrate_world, warm) == golden["substrate"]
 
 
-def test_overload_traces_match_pre_refactor_golden(golden):
-    assert _digest(_run_overload_world()) == golden["overload"]
+@pytest.mark.parametrize("warm", [False, True])
+def test_overload_traces_match_pre_refactor_golden(golden, warm):
+    assert _digest_of(_run_overload_world, warm) == golden["overload"]
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.simnet.simulator import MIN_COMPACTION_SIZE, Simulator
+from tests.simnet.test_scheduler_oracle import _ListScheduler
 
 
 class TestScheduling:
@@ -227,6 +228,17 @@ class TestAccounting:
         assert sim.queue_size < 100
         assert sim.pending == 0
 
+    def test_wheel_sweep_reclaims_cancelled_entries(self):
+        # The legacy "wheel" name builds the same compacting heap, so
+        # dead entries are reclaimed under it as well.
+        sim = Simulator("wheel")
+        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
+        for h in handles:
+            h.cancel()
+        assert sim.compactions >= 1
+        assert sim.queue_size < 100
+        assert sim.pending == 0
+
     def test_small_heap_never_compacts(self):
         # Below the size floor a dead heap is left for lazy deletion.
         sim = Simulator()
@@ -312,6 +324,21 @@ class TestPeriodicExceptionSafety:
         assert fired == [1.0]
 
 
+def _sim_modes():
+    """Every scheduler the regression must hold on.
+
+    ``wheel`` and ``heap`` are the two names ``Simulator`` accepts (both
+    build the one heap).  ``heap-ref`` is the list-scan reference that
+    ``test_scheduler_oracle`` checks the heap against: were it to
+    re-arm a self-cancelled series, the oracle would demand the bug.
+    """
+    return [
+        ("wheel", lambda: Simulator("wheel")),
+        ("heap", lambda: Simulator("heap")),
+        ("heap-ref", lambda: _ListScheduler()),
+    ]
+
+
 class TestPeriodicSelfCancel:
     """A callback cancelling its own handle mid-fire must not re-arm.
 
@@ -320,8 +347,9 @@ class TestPeriodicSelfCancel:
     one dead-but-live tick scheduled, which fires the series once more.
     """
 
-    def test_self_cancel_mid_fire_stops_the_series(self):
-        sim = Simulator()
+    @pytest.mark.parametrize(("name", "make"), _sim_modes())
+    def test_self_cancel_mid_fire_stops_the_series(self, name, make):
+        sim = make()
         fired = []
 
         def tick():
@@ -331,12 +359,13 @@ class TestPeriodicSelfCancel:
         series = sim.call_every(1.0, tick)
         sim.run(until=20.0)
         assert fired == [1.0]
-        assert sim.pending == 0, "dead tick left armed"
+        assert sim.pending == 0, f"{name}: dead tick left armed"
 
-    def test_self_cancel_with_subtick_interval(self):
+    @pytest.mark.parametrize(("name", "make"), _sim_modes())
+    def test_self_cancel_with_subtick_interval(self, name, make):
         # A 10 us interval: every re-arm lands right behind the firing
         # tick, so the re-arm and the cancel race inside one callback.
-        sim = Simulator()
+        sim = make()
         fired = []
 
         def tick():
@@ -349,11 +378,12 @@ class TestPeriodicSelfCancel:
         assert fired == [1e-5, 2e-5, 3e-5]
         assert sim.pending == 0
 
-    def test_sibling_cancel_in_same_tick_batch(self):
+    @pytest.mark.parametrize(("name", "make"), _sim_modes())
+    def test_sibling_cancel_in_same_tick_batch(self, name, make):
         # An earlier event cancels a series whose tick is already
         # queued.  The tick still occupies a queue entry but must not
         # invoke the callback.
-        sim = Simulator()
+        sim = make()
         fired = []
         series = sim.call_every(1.0, fired.append, "periodic")
         sim.schedule(0.9999, lambda: series.cancel())
@@ -361,10 +391,11 @@ class TestPeriodicSelfCancel:
         assert fired == []
         assert sim.pending == 0
 
-    def test_cancel_then_restart_inside_callback(self):
+    @pytest.mark.parametrize(("name", "make"), _sim_modes())
+    def test_cancel_then_restart_inside_callback(self, name, make):
         # Self-cancel followed by arming a fresh series inside the same
         # fire: the old series stays dead, the new one runs.
-        sim = Simulator()
+        sim = make()
         fired = []
 
         def tick():
